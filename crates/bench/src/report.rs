@@ -2705,7 +2705,10 @@ noc.packet_latency,histogram,,10,100,4,30,10,8,25,29
              \"domain\":\"weights/all\",\"rate_unit\":\"fit\",\
              \"checkpoints\":3,\"rollbacks\":2,\"replayed_cycles\":400,\
              \"checkpoint_pj\":5000}";
-        let text = format!("{}\n{rollback}", campaign_line(1, "protected", 0.0, 1, 1000, 0, 0));
+        let text = format!(
+            "{}\n{rollback}",
+            campaign_line(1, "protected", 0.0, 1, 1000, 0, 0)
+        );
         let records = parse_campaign_jsonl(&text).unwrap();
         assert_eq!(records[0].rollbacks, 0);
         assert_eq!(records[0].domain, "");

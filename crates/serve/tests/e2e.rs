@@ -619,9 +619,7 @@ fn degrade_watermark_answers_cycle_jobs_functionally_flagged() {
                     post(
                         addr,
                         "/v1/infer",
-                        &format!(
-                            r#"{{"id":"dg{i}","model":"gcn","input":"cora","mode":"cycle"}}"#
-                        ),
+                        &format!(r#"{{"id":"dg{i}","model":"gcn","input":"cora","mode":"cycle"}}"#),
                     )
                 })
             })
@@ -637,7 +635,10 @@ fn degrade_watermark_answers_cycle_jobs_functionally_flagged() {
             degraded += 1;
             // A degraded response is functional: no accuracy grade, no
             // cycle telemetry, mode says what actually ran.
-            assert_eq!(v.get("mode").and_then(JsonValue::as_str), Some("functional"));
+            assert_eq!(
+                v.get("mode").and_then(JsonValue::as_str),
+                Some("functional")
+            );
             assert!(v.get("accuracy").is_none(), "degraded jobs skip accuracy");
         } else {
             full_cycle += 1;

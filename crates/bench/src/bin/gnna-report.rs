@@ -11,6 +11,7 @@
 //! stall-cause breakdown, the hottest mesh links as a heat-map, and
 //! packet-latency quantiles (paper Fig. 9/10 style).
 
+use gnna_bench::cli::{self, Cli, Stop};
 use gnna_bench::report::{
     parse_campaign_jsonl, parse_trace_json, BottleneckReport, CampaignReport, DiffReport,
     MetricsSnapshot,
@@ -55,61 +56,44 @@ usage: gnna-report --metrics FILE [options]
   --version         print the workspace version
   --help            this message";
 
-fn parse_args() -> Result<Args, String> {
-    let mut metrics = None;
-    let mut diff = None;
-    let mut trace = None;
-    let mut campaign = None;
-    let mut out = None;
-    let mut format = Format::Auto;
-    let mut top_k = 8usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--metrics" => metrics = Some(value("--metrics")?),
-            "--diff" => diff = Some((value("--diff")?, value("--diff")?)),
-            "--trace" => trace = Some(value("--trace")?),
-            "--campaign" => campaign = Some(value("--campaign")?),
-            "--out" => out = Some(value("--out")?),
+fn parse_args(cli: &mut Cli) -> Result<Args, Stop> {
+    let mut a = Args {
+        metrics: None,
+        diff: None,
+        trace: None,
+        campaign: None,
+        out: None,
+        format: Format::Auto,
+        top_k: 8,
+    };
+    while let Some(flag) = cli.next_flag()? {
+        match flag.as_str() {
+            "--metrics" => a.metrics = Some(cli.value(&flag)?),
+            "--diff" => a.diff = Some((cli.value(&flag)?, cli.value(&flag)?)),
+            "--trace" => a.trace = Some(cli.value(&flag)?),
+            "--campaign" => a.campaign = Some(cli.value(&flag)?),
+            "--out" => a.out = Some(cli.value(&flag)?),
             "--format" => {
-                format = match value("--format")?.as_str() {
-                    "md" | "markdown" => Format::Markdown,
-                    "csv" => Format::Csv,
-                    other => return Err(format!("unknown format {other} (md|csv)")),
-                }
+                a.format = cli.choice(&flag, "format", "md|csv", |s| match s {
+                    "md" | "markdown" => Some(Format::Markdown),
+                    "csv" => Some(Format::Csv),
+                    _ => None,
+                })?
             }
-            "--top-k" => {
-                top_k = value("--top-k")?
-                    .parse()
-                    .map_err(|e| format!("bad --top-k: {e}"))?
-            }
-            "--version" | "-V" => {
-                println!("gnna-report {}", env!("CARGO_PKG_VERSION"));
-                std::process::exit(0);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown option {other}")),
+            "--top-k" => a.top_k = cli.parse(&flag)?,
+            _ => return Err(cli::unknown(&flag)),
         }
     }
-    if metrics.is_none() && diff.is_none() && campaign.is_none() {
-        return Err("one of --metrics, --diff, or --campaign is required".to_string());
+    if a.metrics.is_none() && a.diff.is_none() && a.campaign.is_none() {
+        return Err("one of --metrics, --diff, or --campaign is required".into());
     }
-    if metrics.is_some() && diff.is_some() {
-        return Err("--metrics and --diff are mutually exclusive".to_string());
+    if a.metrics.is_some() && a.diff.is_some() {
+        return Err("--metrics and --diff are mutually exclusive".into());
     }
-    if campaign.is_some() && diff.is_some() {
-        return Err("--campaign and --diff are mutually exclusive".to_string());
+    if a.campaign.is_some() && a.diff.is_some() {
+        return Err("--campaign and --diff are mutually exclusive".into());
     }
-    Ok(Args {
-        metrics,
-        diff,
-        trace,
-        campaign,
-        out,
-        format,
-        top_k,
-    })
+    Ok(a)
 }
 
 /// Read and parse one metrics dump, or exit with a readable error.
@@ -120,19 +104,9 @@ fn load_snapshot(path: &str) -> Result<MetricsSnapshot, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match cli::parse_env("gnna-report", USAGE, parse_args) {
         Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{USAGE}");
-            return if msg.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
+        Err(code) => return code,
     };
     let format = match args.format {
         Format::Auto => match &args.out {

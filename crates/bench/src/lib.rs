@@ -11,6 +11,7 @@
 
 pub mod accuracy;
 pub mod campaign;
+pub mod cli;
 pub mod report;
 
 use gnna_baselines::table7::MeasuredLatency;

@@ -280,6 +280,17 @@ impl AcceleratorConfig {
         Self::base("GPU iso-FLOPS", Topology::gpu_iso_flops())
     }
 
+    /// Looks up a Table VI configuration by its CLI and wire name
+    /// (`cpu-iso-bw`, `gpu-iso-bw` or `gpu-iso-flops`, case-insensitive).
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name.to_ascii_lowercase().as_str() {
+            "cpu-iso-bw" => Some(Self::cpu_iso_bandwidth()),
+            "gpu-iso-bw" => Some(Self::gpu_iso_bandwidth()),
+            "gpu-iso-flops" => Some(Self::gpu_iso_flops()),
+            _ => None,
+        }
+    }
+
     /// Returns a copy with the core clock set to `hz` (the §VI clock
     /// sweep). The DNA model's clock follows the core clock.
     pub fn with_core_clock(mut self, hz: f64) -> Self {
@@ -407,6 +418,18 @@ mod tests {
         assert_eq!(c.num_mem_nodes(), 8);
         assert_eq!(c.total_alus(), 3168);
         assert!((c.total_mem_bandwidth() - 544e9).abs() < 1.0);
+    }
+
+    #[test]
+    fn table_vi_names_yield_their_configs() {
+        for (slug, name) in [
+            ("cpu-iso-bw", "CPU iso-BW"),
+            ("gpu-iso-bw", "GPU iso-BW"),
+            ("GPU-ISO-FLOPS", "GPU iso-FLOPS"),
+        ] {
+            assert_eq!(AcceleratorConfig::by_name(slug).unwrap().name, name);
+        }
+        assert!(AcceleratorConfig::by_name("tpu").is_none());
     }
 
     #[test]

@@ -95,8 +95,15 @@ pub const TABLE_V: [DatasetSpec; 5] = [
     },
 ];
 
-/// Looks up a [`DatasetSpec`] from [`TABLE_V`] by (case-insensitive) name.
+/// Looks up a [`DatasetSpec`] from [`TABLE_V`] by (case-insensitive)
+/// name, or by the short aliases `qm9` (QM9_1000) and `dblp` (DBLP_1):
+/// the one input-name table behind every CLI and the serve wire protocol.
 pub fn spec_by_name(name: &str) -> Option<&'static DatasetSpec> {
+    let name = match name.to_ascii_lowercase().as_str() {
+        "qm9" => "QM9_1000",
+        "dblp" => "DBLP_1",
+        _ => name,
+    };
     TABLE_V.iter().find(|s| s.name.eq_ignore_ascii_case(name))
 }
 
@@ -346,6 +353,9 @@ mod tests {
         assert_eq!(spec_by_name("cora").unwrap().total_nodes, 2708);
         assert_eq!(spec_by_name("QM9_1000").unwrap().graphs, 1000);
         assert!(spec_by_name("imagenet").is_none());
+        for (alias, name) in [("qm9", "QM9_1000"), ("DBLP", "DBLP_1")] {
+            assert_eq!(spec_by_name(alias).unwrap().name, name);
+        }
     }
 
     #[test]

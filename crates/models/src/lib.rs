@@ -76,6 +76,29 @@ impl ModelKind {
             ModelKind::Pgnn => "PGNN",
         }
     }
+
+    /// Parses a model name, case-insensitively (`gcn`, `GAT`, ...): the
+    /// one name table behind every CLI and the serve wire protocol.
+    pub fn parse(s: &str) -> Option<ModelKind> {
+        [
+            ModelKind::Gcn,
+            ModelKind::Gat,
+            ModelKind::Mpnn,
+            ModelKind::Pgnn,
+        ]
+        .into_iter()
+        .find(|m| m.name().eq_ignore_ascii_case(s))
+    }
+
+    /// The input this model runs on when none is named: its first
+    /// Table VII pairing in [`BENCHMARK_PAIRS`].
+    pub fn default_input(self) -> &'static str {
+        BENCHMARK_PAIRS
+            .iter()
+            .find(|(m, _)| *m == self)
+            .map(|&(_, input)| input)
+            .expect("every model has a Table VII pair")
+    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -109,5 +132,30 @@ mod tests {
         assert_eq!(BENCHMARK_PAIRS.len(), 6);
         assert_eq!(BENCHMARK_PAIRS[2], (ModelKind::Gcn, "Pubmed"));
         assert_eq!(BENCHMARK_PAIRS[5], (ModelKind::Pgnn, "DBLP_1"));
+    }
+
+    #[test]
+    fn model_names_round_trip() {
+        for (m, _) in BENCHMARK_PAIRS {
+            assert_eq!(ModelKind::parse(m.name()), Some(m));
+            assert_eq!(ModelKind::parse(&m.name().to_ascii_lowercase()), Some(m));
+        }
+        assert_eq!(ModelKind::parse("vgg"), None);
+    }
+
+    #[test]
+    fn default_inputs_are_the_first_table_vii_pairing() {
+        assert_eq!(ModelKind::Gcn.default_input(), "Cora");
+        assert_eq!(ModelKind::Gat.default_input(), "Cora");
+        assert_eq!(ModelKind::Mpnn.default_input(), "QM9_1000");
+        assert_eq!(ModelKind::Pgnn.default_input(), "DBLP_1");
+    }
+
+    #[test]
+    fn every_benchmark_input_resolves() {
+        for (_, input) in BENCHMARK_PAIRS {
+            let spec = gnna_graph::datasets::spec_by_name(input).unwrap();
+            assert_eq!(spec.name, input);
+        }
     }
 }

@@ -13,8 +13,8 @@
 //! verify functional bit-identity, and write
 //! `BENCH_serve_baseline.json`.
 
+use gnna_bench::cli::{self, Cli, Stop};
 use gnna_bench::Scale;
-use gnna_core::config::AcceleratorConfig;
 use gnna_serve::loadgen::{run_baseline, run_soak, BaselineOptions, SoakOptions};
 use gnna_serve::queue::parse_quota_flag;
 use gnna_serve::server::{serve, ServeConfig};
@@ -87,172 +87,71 @@ struct Args {
     load_concurrency: usize,
     min_speedup: f64,
     baseline_out: String,
-    soak: Option<SoakOptions>,
+    soak_secs: Option<u64>,
+    soak: SoakOptions,
     soak_out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut cfg = ServeConfig {
-        addr: "127.0.0.1:7878".to_string(),
-        scale: Scale::Paper,
-        ..ServeConfig::default()
+fn parse_args(cli: &mut Cli) -> Result<Args, Stop> {
+    let mut a = Args {
+        cfg: ServeConfig {
+            addr: "127.0.0.1:7878".to_string(),
+            scale: Scale::Paper,
+            ..ServeConfig::default()
+        },
+        load: false,
+        load_jobs: 64,
+        load_concurrency: 64,
+        min_speedup: 2.0,
+        baseline_out: "BENCH_serve_baseline.json".to_string(),
+        soak_secs: None,
+        soak: SoakOptions::default(),
+        soak_out: "BENCH_serve_soak.json".to_string(),
     };
-    let mut load = false;
-    let mut load_jobs = 64usize;
-    let mut load_concurrency = 64usize;
-    let mut min_speedup = 2.0f64;
-    let mut baseline_out = "BENCH_serve_baseline.json".to_string();
-    let mut soak_secs: Option<u64> = None;
-    let mut soak_opts = SoakOptions::default();
-    let mut soak_out = "BENCH_serve_soak.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--instances" => {
-                cfg.instances = value("--instances")?
-                    .parse()
-                    .map_err(|e| format!("bad instance count: {e}"))?;
-                if cfg.instances == 0 {
-                    return Err("--instances must be positive".into());
-                }
-            }
-            "--max-batch" => {
-                cfg.max_batch = value("--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("bad batch size: {e}"))?;
-                if cfg.max_batch == 0 {
-                    return Err("--max-batch must be positive".into());
-                }
-            }
-            "--flush-us" => {
-                let us: u64 = value("--flush-us")?
-                    .parse()
-                    .map_err(|e| format!("bad flush window: {e}"))?;
-                cfg.flush = Duration::from_micros(us);
-            }
-            "--queue-cap" => {
-                cfg.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("bad queue capacity: {e}"))?;
-                if cfg.queue_cap == 0 {
-                    return Err("--queue-cap must be positive".into());
-                }
-            }
-            "--threads" => {
-                cfg.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad read timeout: {e}"))?;
-                cfg.read_timeout = Duration::from_millis(ms);
-            }
-            "--trace-out" => cfg.trace_out = Some(value("--trace-out")?),
-            "--config" => {
-                cfg.accel = match value("--config")?.to_ascii_lowercase().as_str() {
-                    "cpu-iso-bw" => AcceleratorConfig::cpu_iso_bandwidth(),
-                    "gpu-iso-bw" => AcceleratorConfig::gpu_iso_bandwidth(),
-                    "gpu-iso-flops" => AcceleratorConfig::gpu_iso_flops(),
-                    other => return Err(format!("unknown config {other}")),
-                }
-            }
+    let cfg = &mut a.cfg;
+    while let Some(flag) = cli.next_flag()? {
+        match flag.as_str() {
+            "--addr" => cfg.addr = cli.value(&flag)?,
+            "--instances" => cfg.instances = cli.positive(&flag)?,
+            "--max-batch" => cfg.max_batch = cli.positive(&flag)?,
+            "--flush-us" => cfg.flush = Duration::from_micros(cli.parse(&flag)?),
+            "--queue-cap" => cfg.queue_cap = cli.positive(&flag)?,
+            "--threads" => cfg.threads = cli.parse(&flag)?,
+            "--read-timeout-ms" => cfg.read_timeout = Duration::from_millis(cli.parse(&flag)?),
+            "--trace-out" => cfg.trace_out = Some(cli.value(&flag)?),
+            "--config" => cfg.accel = cli::config(&cli.value(&flag)?)?,
             "--smoke" => cfg.scale = Scale::Smoke,
-            "--load" => load = true,
-            "--load-jobs" => {
-                load_jobs = value("--load-jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad job count: {e}"))?;
-            }
-            "--load-concurrency" => {
-                load_concurrency = value("--load-concurrency")?
-                    .parse()
-                    .map_err(|e| format!("bad concurrency: {e}"))?;
-            }
-            "--min-speedup" => {
-                min_speedup = value("--min-speedup")?
-                    .parse()
-                    .map_err(|e| format!("bad speedup: {e}"))?;
-            }
-            "--baseline-out" => baseline_out = value("--baseline-out")?,
-            "--tenant-quota" => {
-                let (tenant, spec) = parse_quota_flag(&value("--tenant-quota")?)?;
-                match tenant {
-                    Some(t) => cfg.policy.tenants.push((t, spec)),
-                    None => cfg.policy.default_spec = spec,
-                }
-            }
-            "--max-conns" => {
-                cfg.max_conns = value("--max-conns")?
-                    .parse()
-                    .map_err(|e| format!("bad connection limit: {e}"))?;
-            }
-            "--degrade-watermark" => {
-                cfg.degrade_watermark = value("--degrade-watermark")?
-                    .parse()
-                    .map_err(|e| format!("bad degrade watermark: {e}"))?;
-            }
-            "--soak-secs" => {
-                let secs: u64 = value("--soak-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad soak duration: {e}"))?;
-                if secs == 0 {
-                    return Err("--soak-secs must be positive".into());
-                }
-                soak_secs = Some(secs);
-            }
-            "--soak-out" => soak_out = value("--soak-out")?,
-            "--soak-light-rate" => {
-                soak_opts.light_rate = value("--soak-light-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad light rate: {e}"))?;
-            }
-            "--soak-flood-rate" => {
-                soak_opts.flood_rate = value("--soak-flood-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad flood rate: {e}"))?;
-            }
-            "--soak-max-fairness" => {
-                soak_opts.max_fairness = value("--soak-max-fairness")?
-                    .parse()
-                    .map_err(|e| format!("bad fairness bound: {e}"))?;
-            }
-            "--soak-max-rss-growth" => {
-                soak_opts.max_rss_growth = value("--soak-max-rss-growth")?
-                    .parse()
-                    .map_err(|e| format!("bad rss growth bound: {e}"))?;
-            }
-            "--version" | "-V" => {
-                println!("gnna-serve {}", env!("CARGO_PKG_VERSION"));
-                std::process::exit(0);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown option {other}")),
+            "--load" => a.load = true,
+            "--load-jobs" => a.load_jobs = cli.parse(&flag)?,
+            "--load-concurrency" => a.load_concurrency = cli.parse(&flag)?,
+            "--min-speedup" => a.min_speedup = cli.parse(&flag)?,
+            "--baseline-out" => a.baseline_out = cli.value(&flag)?,
+            "--tenant-quota" => match parse_quota_flag(&cli.value(&flag)?)? {
+                (Some(t), spec) => cfg.policy.tenants.push((t, spec)),
+                (None, spec) => cfg.policy.default_spec = spec,
+            },
+            "--max-conns" => cfg.max_conns = cli.parse(&flag)?,
+            "--degrade-watermark" => cfg.degrade_watermark = cli.parse(&flag)?,
+            "--soak-secs" => a.soak_secs = Some(cli.positive(&flag)?),
+            "--soak-out" => a.soak_out = cli.value(&flag)?,
+            "--soak-light-rate" => a.soak.light_rate = cli.parse(&flag)?,
+            "--soak-flood-rate" => a.soak.flood_rate = cli.parse(&flag)?,
+            "--soak-max-fairness" => a.soak.max_fairness = cli.parse(&flag)?,
+            "--soak-max-rss-growth" => a.soak.max_rss_growth = cli.parse(&flag)?,
+            _ => return Err(cli::unknown(&flag)),
         }
     }
-    let soak = soak_secs.map(|secs| SoakOptions {
-        secs,
-        accel: cfg.accel.clone(),
-        scale: cfg.scale,
-        ..soak_opts
-    });
-    Ok(Args {
-        cfg,
-        load,
-        load_jobs,
-        load_concurrency,
-        min_speedup,
-        baseline_out,
-        soak,
-        soak_out,
-    })
+    Ok(a)
 }
 
 fn run(args: Args) -> Result<(), String> {
-    if let Some(opts) = &args.soak {
+    if let Some(secs) = args.soak_secs {
+        let opts = &SoakOptions {
+            secs,
+            accel: args.cfg.accel.clone(),
+            scale: args.cfg.scale,
+            ..args.soak
+        };
         eprintln!(
             "gnna-serve: soak — {} s mixed-tenant (light {}/s + flood {}/s under a {}/s quota)",
             opts.secs, opts.light_rate, opts.flood_rate, opts.flood_quota
@@ -299,19 +198,9 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match cli::parse_env("gnna-serve", USAGE, parse_args) {
         Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{USAGE}");
-            return if msg.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
+        Err(code) => return code,
     };
     match run(args) {
         Ok(()) => ExitCode::SUCCESS,

@@ -9,6 +9,7 @@
 //! reproductions of the `gnna-models` reference — the property the
 //! load harness and CI verify.
 
+use gnna_graph::datasets;
 use gnna_models::ModelKind;
 use gnna_telemetry::json::{self, JsonValue};
 
@@ -92,26 +93,22 @@ pub struct JobRequest {
 }
 
 fn parse_model(s: &str) -> Result<ModelKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "gcn" => Ok(ModelKind::Gcn),
-        "gat" => Ok(ModelKind::Gat),
-        "mpnn" => Ok(ModelKind::Mpnn),
-        "pgnn" => Ok(ModelKind::Pgnn),
-        other => Err(format!("unknown model {other:?} (gcn|gat|mpnn|pgnn)")),
-    }
+    ModelKind::parse(s).ok_or_else(|| {
+        format!(
+            "unknown model {:?} (gcn|gat|mpnn|pgnn)",
+            s.to_ascii_lowercase()
+        )
+    })
 }
 
-/// Canonicalizes a dataset name from the wire (same aliases as the
-/// `gnna-campaign` CLI).
+/// Canonicalizes a dataset name from the wire (the Table V names and the
+/// `qm9`/`dblp` aliases every CLI accepts).
 pub fn parse_input_name(s: &str) -> Result<&'static str, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "cora" => Ok("Cora"),
-        "citeseer" => Ok("Citeseer"),
-        "pubmed" => Ok("Pubmed"),
-        "qm9_1000" | "qm9" => Ok("QM9_1000"),
-        "dblp_1" | "dblp" => Ok("DBLP_1"),
-        other => Err(format!(
-            "unknown input {other:?} (cora|citeseer|pubmed|qm9|dblp)"
+    match datasets::spec_by_name(s) {
+        Some(spec) => Ok(spec.name),
+        None => Err(format!(
+            "unknown input {:?} (cora|citeseer|pubmed|qm9|dblp)",
+            s.to_ascii_lowercase()
         )),
     }
 }

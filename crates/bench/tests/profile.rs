@@ -27,6 +27,23 @@ fn profiler_does_not_perturb_the_sim_report() {
     let plain = simulate(&case, &cfg).unwrap();
     let profiled = simulate_traced_opts(&case, &cfg, &profiled_opts(8)).unwrap();
     assert_eq!(plain, profiled.report, "profiling perturbed the simulation");
+    // Both sinks at once: the observer fans every event out to the
+    // tracer and the profiler, and still must not touch the simulation.
+    let both = TraceOptions::at_level(TraceLevel::Event).with_profile(8);
+    let both = simulate_traced_opts(&case, &cfg, &both).unwrap();
+    assert_eq!(
+        plain, both.report,
+        "tracing + profiling perturbed the simulation"
+    );
+    assert!(
+        both.tracer.borrow().event_count() > 0,
+        "tracer recorded nothing"
+    );
+    let profiler = both.profiler.as_ref().expect("profiler attached");
+    assert!(
+        profiler.borrow().cycles_total() > 0,
+        "profiler saw no cycles"
+    );
 }
 
 #[test]

@@ -21,7 +21,7 @@
 
 use crate::config::AggParams;
 use crate::msg::Dest;
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::{CostClass, Probe};
 use gnna_tensor::ops::Activation;
 use std::collections::VecDeque;
 
@@ -95,7 +95,7 @@ pub struct Aggregator {
     busy_cycles: u64,
     alloc_failures: u64,
     ingest_stalls: u64,
-    probe: Option<ModuleProbe>,
+    probe: Probe,
 }
 
 impl Aggregator {
@@ -120,14 +120,20 @@ impl Aggregator {
             busy_cycles: 0,
             alloc_failures: 0,
             ingest_stalls: 0,
-            probe: None,
+            probe: Probe::default(),
         }
     }
 
     /// Attaches a telemetry probe; backpressure and completion events are
     /// emitted through it. No-op cost when never called.
-    pub fn attach_probe(&mut self, probe: ModuleProbe) {
-        self.probe = Some(probe);
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
+    }
+
+    /// Emits the periodic `agg_live_slots` occupancy counter.
+    pub(crate) fn sample_counters(&self) {
+        self.probe
+            .counter("agg_live_slots", self.live_slots() as f64);
     }
 
     /// Configures the per-layer entry size. The scratchpad is divided into
@@ -216,9 +222,7 @@ impl Aggregator {
         );
         let Some(slot) = self.free.pop() else {
             self.alloc_failures += 1;
-            if let Some(p) = &self.probe {
-                p.instant("agg_alloc_reject");
-            }
+            self.probe.instant("agg_alloc_reject");
             return Err(());
         };
         let init = match op {
@@ -258,9 +262,7 @@ impl Aggregator {
     /// loop so ejection backpressure is attributable in reports.
     pub fn note_ingest_stall(&mut self) {
         self.ingest_stalls += 1;
-        if let Some(p) = &self.probe {
-            p.instant("agg_ingest_stall");
-        }
+        self.probe.instant("agg_ingest_stall");
     }
 
     /// Cycles the NoC ejection port was blocked on a full AGG job FIFO.
@@ -319,9 +321,7 @@ impl Aggregator {
             // Release a finalised result whose ALU pass just completed.
             if let Some((dest, data)) = self.finishing.take() {
                 self.completed += 1;
-                if let Some(p) = &self.probe {
-                    p.instant("agg_done");
-                }
+                self.probe.instant("agg_done");
                 self.outbox_bytes += 8 + 4 * data.len();
                 self.outbox.push_back((dest, data));
             }

@@ -13,7 +13,7 @@ use crate::msg::Dest;
 use gnna_dnn::{mapper, EyerissConfig, MatmulShape};
 use gnna_faults::{FaultCounters, FaultPlan, FaultSite, SiteInjector};
 use gnna_models::{GatLayer, Mlp};
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::{CostClass, Probe};
 use gnna_tensor::ops::{Activation, GruCell};
 use gnna_tensor::Matrix;
 
@@ -238,7 +238,7 @@ pub struct Dna {
     output_stall_cycles: u64,
     entries_processed: u64,
     macs_executed: u64,
-    probe: Option<ModuleProbe>,
+    probe: Probe,
     fault: Option<DnaFaultState>,
 }
 
@@ -259,7 +259,7 @@ impl Dna {
             output_stall_cycles: 0,
             entries_processed: 0,
             macs_executed: 0,
-            probe: None,
+            probe: Probe::default(),
             fault: None,
         }
     }
@@ -277,8 +277,8 @@ impl Dna {
 
     /// Attaches a telemetry probe; job occupancy spans are emitted
     /// through it. No-op cost when never called.
-    pub fn attach_probe(&mut self, probe: ModuleProbe) {
-        self.probe = Some(probe);
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Configures the layer's kernels. `batch_hint` is the number of
@@ -350,14 +350,10 @@ impl Dna {
                 fs.counters.injected += 1;
                 fs.counters.corrected += 1;
                 fs.counters.retry_cycles += bubble;
-                if let Some(p) = &self.probe {
-                    p.instant("dna_fault_bubble");
-                }
+                self.probe.instant("dna_fault_bubble");
             }
         }
-        if let Some(p) = &self.probe {
-            p.begin("dna_job");
-        }
+        self.probe.begin("dna_job");
         self.job = Some(Job {
             done_at: now + PIPELINE_LATENCY + occupancy.max(1) + bubble,
             output,
@@ -381,9 +377,7 @@ impl Dna {
                 if job.done_at <= now {
                     let job = self.job.take().expect("checked");
                     self.entries_processed += 1;
-                    if let Some(p) = &self.probe {
-                        p.end("dna_job");
-                    }
+                    self.probe.end("dna_job");
                     self.pending_output = Some((job.dest, job.output));
                 }
             }

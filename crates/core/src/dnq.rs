@@ -12,7 +12,7 @@
 
 use crate::config::DnqParams;
 use crate::msg::Dest;
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::{CostClass, Probe};
 
 /// One queue entry.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ pub struct Dnq {
     fill_words: u64,
     alloc_failures: u64,
     head_wait_cycles: u64,
-    probe: Option<ModuleProbe>,
+    probe: Probe,
 }
 
 impl Dnq {
@@ -91,14 +91,20 @@ impl Dnq {
             fill_words: 0,
             alloc_failures: 0,
             head_wait_cycles: 0,
-            probe: None,
+            probe: Probe::default(),
         }
     }
 
     /// Attaches a telemetry probe; backpressure and queue-switch events
     /// are emitted through it. No-op cost when never called.
-    pub fn attach_probe(&mut self, probe: ModuleProbe) {
-        self.probe = Some(probe);
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
+    }
+
+    /// Emits the periodic per-queue depth counters.
+    pub(crate) fn sample_counters(&self) {
+        self.probe.counter("dnq_depth_q0", self.len(0) as f64);
+        self.probe.counter("dnq_depth_q1", self.len(1) as f64);
     }
 
     /// Configures per-layer entry sizes for the two virtual queues
@@ -178,9 +184,7 @@ impl Dnq {
         assert!(ring.entry_words > 0, "queue {q} is disabled this layer");
         if ring.len == ring.capacity() {
             self.alloc_failures += 1;
-            if let Some(p) = &self.probe {
-                p.instant("dnq_alloc_reject");
-            }
+            self.probe.instant("dnq_alloc_reject");
             return Err(());
         }
         let idx = ring.tail;
@@ -256,9 +260,7 @@ impl Dnq {
             if self.head_ready(other) {
                 self.active = other;
                 self.switches += 1;
-                if let Some(p) = &self.probe {
-                    p.instant("dnq_switch");
-                }
+                self.probe.instant("dnq_switch");
                 self.dna_idle_streak = 0;
                 return self.pop_ready_head(self.active);
             }

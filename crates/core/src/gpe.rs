@@ -25,7 +25,7 @@ use crate::layout::{BufferRegion, Layout, UnionGraph};
 use crate::msg::{AddressMap, Dest, Message, Tag};
 use crate::stats::StallCause;
 use gnna_noc::Address;
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::{CostClass, Probe};
 use gnna_tensor::ops::leaky_relu;
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
@@ -196,7 +196,7 @@ pub struct Gpe {
     outbox: VecDeque<(Address, Message)>,
     outbox_cap: usize,
     stats: GpeStats,
-    probe: Option<ModuleProbe>,
+    probe: Probe,
 }
 
 impl Gpe {
@@ -212,14 +212,14 @@ impl Gpe {
             outbox: VecDeque::new(),
             outbox_cap: 8,
             stats: GpeStats::default(),
-            probe: None,
+            probe: Probe::default(),
         }
     }
 
     /// Attaches a telemetry probe; the GPE emits instant events for
     /// resource-full stalls and completed vertices.
-    pub fn attach_probe(&mut self, probe: ModuleProbe) {
-        self.probe = Some(probe);
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Begins a layer over this tile's vertex partition.
@@ -381,9 +381,7 @@ impl Gpe {
             StepResult::Stall(cause) => {
                 self.stats.stall_cycles += 1;
                 self.stats.stall_by_cause[cause.index()] += 1;
-                if let Some(p) = &self.probe {
-                    p.instant(cause.event_name());
-                }
+                self.probe.instant(cause.event_name());
                 self.threads[i] = TState::Ready(task);
                 // Let another thread run next cycle.
                 self.rr = (i + 1) % n;
@@ -396,9 +394,7 @@ impl Gpe {
             StepResult::Done => {
                 self.stats.op_cycles += 1;
                 self.stats.vertices_done += 1;
-                if let Some(p) = &self.probe {
-                    p.instant("gpe_vertex_done");
-                }
+                self.probe.instant("gpe_vertex_done");
                 self.threads[i] = TState::Idle;
                 self.rr = (i + 1) % n;
             }

@@ -37,9 +37,9 @@ use gnna_graph::GraphInstance;
 use gnna_mem::{MemFaultState, MemImage, MemRequest, MemoryController};
 use gnna_noc::NocFaultState;
 use gnna_noc::{Address, Network, NocConfig, Packet, PacketKind, Reassembler};
-use gnna_telemetry::energy::{apportion_pj, CostClass, EnergyLedger, EnergyRates, FJ_PER_PJ};
-use gnna_telemetry::profile::{self, HotPhase, SharedProfiler};
-use gnna_telemetry::{MetricsRegistry, ModuleProbe, SharedTracer, TraceLevel};
+use gnna_telemetry::energy::{apportion_pj, CostClass, EnergyLedger, EnergyRates};
+use gnna_telemetry::profile::{HotPhase, SharedProfiler, CYCLES_SCOPE};
+use gnna_telemetry::{MetricsRegistry, Observer, Probe, SharedTracer, TraceLevel};
 use gnna_tensor::Matrix;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -47,53 +47,6 @@ use std::rc::Rc;
 /// Master-cycle period of the counter-track sampler (queue occupancies
 /// and in-flight flit counts) when event-level tracing is attached.
 const SAMPLE_EVERY: u64 = 256;
-
-/// Probe clones the system keeps for the per-tile counter tracks (the
-/// same tracks the modules' own probes write to — registering once and
-/// cloning avoids duplicate process/thread metadata).
-#[derive(Debug)]
-struct TileProbes {
-    agg: ModuleProbe,
-    dnq: ModuleProbe,
-}
-
-/// Per-layer energy attribution state (event level only): cumulative
-/// per-class event counts are snapshotted at each layer boundary and the
-/// deltas retained, so layer energies partition the run total exactly.
-#[derive(Debug, Default)]
-struct EnergyAttribution {
-    /// Cumulative class counts at the previous layer boundary.
-    prev: [u64; CostClass::COUNT],
-    /// Per-layer class-count deltas, one entry per executed layer.
-    layers: Vec<[u64; CostClass::COUNT]>,
-}
-
-/// Telemetry state attached to a running system (absent by default; the
-/// simulator's hot loop then touches a single `Option` discriminant).
-struct Telemetry {
-    tracer: SharedTracer,
-    /// Track for runtime phases (CONFIG, layer execute, barrier).
-    system: ModuleProbe,
-    tiles: Vec<TileProbes>,
-    mems: Vec<ModuleProbe>,
-    noc: Option<ModuleProbe>,
-    /// Per-layer energy snapshots (`Some` at event level only).
-    energy: Option<EnergyAttribution>,
-    /// Counter track for cumulative-energy timelines (`Some` at event
-    /// level only): one counter per [`CostClass`] plus the total, emitted
-    /// at every layer boundary so Perfetto renders energy-over-cycles
-    /// next to the stall/link tracks.
-    energy_track: Option<ModuleProbe>,
-}
-
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("tiles", &self.tiles.len())
-            .field("mems", &self.mems.len())
-            .finish_non_exhaustive()
-    }
-}
 
 #[derive(Debug)]
 struct Tile {
@@ -185,10 +138,9 @@ pub struct System {
     config_cycles: u64,
     layer_timings: Vec<LayerTiming>,
     instance_ranges: Vec<(usize, usize)>,
-    telemetry: Option<Telemetry>,
-    /// Host-phase profiler (absent by default; the hot loop then pays a
-    /// single never-taken branch, same contract as `telemetry`).
-    profiler: Option<SharedProfiler>,
+    /// Tracer and host profiler (detached by default; every call on it
+    /// is then one never-taken branch).
+    obs: Observer,
     energy_model: EnergyModel,
     degraded: DegradedSummary,
     /// Idle-module event wheel: quiescent nodes sleep and are skipped
@@ -377,8 +329,7 @@ impl System {
             config_cycles: 0,
             layer_timings: Vec::new(),
             instance_ranges,
-            telemetry: None,
-            profiler: None,
+            obs: Observer::default(),
             energy_model: EnergyModel::default(),
             degraded: DegradedSummary::default(),
             wheel: EventWheel::new(num_nodes),
@@ -401,59 +352,25 @@ impl System {
     /// memory controller, and one for the mesh — with instant events for
     /// stalls and backpressure plus periodic queue-occupancy counters.
     pub fn attach_telemetry(&mut self, tracer: SharedTracer) {
-        let level = tracer.borrow().level();
-        if level == TraceLevel::Off {
+        self.obs.attach_tracer(Rc::clone(&tracer));
+        if self.obs.level() < TraceLevel::Event {
             return;
         }
-        let system = ModuleProbe::new(Rc::clone(&tracer), "system", "runtime");
-        let mut tiles = Vec::new();
-        let mut mems = Vec::new();
-        let mut noc = None;
-        if level >= TraceLevel::Event {
-            for (t, &(x, y)) in self.cfg.topology.tile_coords().iter().enumerate() {
-                let process = format!("tile{t} ({x},{y})");
-                let gpe = ModuleProbe::new(Rc::clone(&tracer), &process, "gpe");
-                let agg = ModuleProbe::new(Rc::clone(&tracer), &process, "agg");
-                let dnq = ModuleProbe::new(Rc::clone(&tracer), &process, "dnq");
-                let dna = ModuleProbe::new(Rc::clone(&tracer), &process, "dna");
-                self.tiles[t].gpe.attach_probe(gpe);
-                self.tiles[t].agg.attach_probe(agg.clone());
-                self.tiles[t].dnq.attach_probe(dnq.clone());
-                self.tiles[t].dna.attach_probe(dna);
-                tiles.push(TileProbes { agg, dnq });
-            }
-            for (i, m) in self.mems.iter_mut().enumerate() {
-                let p = ModuleProbe::new(Rc::clone(&tracer), "mem", &format!("mem{i}"));
-                m.ctrl.attach_probe(p.clone());
-                mems.push(p);
-            }
-            let p = ModuleProbe::new(Rc::clone(&tracer), "noc", "mesh");
-            self.net.attach_probe(p.clone());
-            // One track per router for link-utilisation counters and
-            // hop-forwarding instants (row-major over the mesh).
-            let router_probes = (0..self.cfg.topology.height())
-                .flat_map(|y| {
-                    let tracer = &tracer;
-                    (0..self.cfg.topology.width()).map(move |x| {
-                        ModuleProbe::new(Rc::clone(tracer), "noc", &format!("router ({x},{y})"))
-                    })
-                })
-                .collect();
-            self.net.attach_router_probes(router_probes);
-            noc = Some(p);
+        for (t, &(x, y)) in self.cfg.topology.tile_coords().iter().enumerate() {
+            let process = format!("tile{t} ({x},{y})");
+            let probe = |thread| Probe::new(Rc::clone(&tracer), &process, thread);
+            let tile = &mut self.tiles[t];
+            tile.gpe.attach_probe(probe("gpe"));
+            tile.agg.attach_probe(probe("agg"));
+            tile.dnq.attach_probe(probe("dnq"));
+            tile.dna.attach_probe(probe("dna"));
         }
-        let energy = (level >= TraceLevel::Event).then(EnergyAttribution::default);
-        let energy_track = (level >= TraceLevel::Event)
-            .then(|| ModuleProbe::new(Rc::clone(&tracer), "system", "energy"));
-        self.telemetry = Some(Telemetry {
-            tracer,
-            system,
-            tiles,
-            mems,
-            noc,
-            energy,
-            energy_track,
-        });
+        for (i, m) in self.mems.iter_mut().enumerate() {
+            m.ctrl
+                .attach_probe(Probe::new(Rc::clone(&tracer), "mem", &format!("mem{i}")));
+        }
+        self.net.attach_probes(&tracer);
+        self.obs.attach_energy_track();
     }
 
     /// Attaches a host-phase profiler before [`System::run`]: scoped
@@ -462,7 +379,7 @@ impl System {
     /// observer — it reads no simulation state and charges no simulated
     /// cycles, so the `SimReport` stays bit-identical with or without it.
     pub fn attach_profiler(&mut self, profiler: SharedProfiler) {
-        self.profiler = Some(profiler);
+        self.obs.attach_profiler(profiler);
     }
 
     /// Attaches deterministic fault injection to every protected site:
@@ -611,30 +528,11 @@ impl System {
         (self.cfg.flit_bytes / 4).max(1) as u64
     }
 
-    /// Appends the flight recorder's tail to an error message, so the
-    /// error shows the last events leading up to it (associated fn so
-    /// field-split borrows can call it while holding `&mut` loans on
-    /// other `System` fields).
-    fn with_flight_snapshot(telemetry: &Option<Telemetry>, mut msg: String) -> String {
-        if let Some(tele) = telemetry {
-            let snap = tele.tracer.borrow().flight_snapshot();
-            if !snap.is_empty() {
-                msg.push('\n');
-                msg.push_str(&snap);
-            }
-        }
-        msg
-    }
-
     /// Builds a protocol-violation error with the flight recorder's tail
-    /// attached.
-    fn protocol_error(
-        telemetry: &Option<Telemetry>,
-        cycle: u64,
-        site: String,
-        msg: String,
-    ) -> CoreError {
-        let msg = Self::with_flight_snapshot(telemetry, msg);
+    /// attached (associated fn so field-split borrows can call it while
+    /// holding `&mut` loans on other `System` fields).
+    fn protocol_error(obs: &Observer, cycle: u64, site: String, msg: String) -> CoreError {
+        let msg = obs.with_flight_snapshot(msg);
         CoreError::Protocol { cycle, site, msg }
     }
 
@@ -650,14 +548,6 @@ impl System {
         self.energy_model
     }
 
-    /// Emits a phase event on the runtime track at master cycle `at`.
-    fn phase_event(&self, at: u64, f: impl FnOnce(&ModuleProbe)) {
-        if let Some(tele) = &self.telemetry {
-            tele.tracer.borrow_mut().set_now(at);
-            f(&tele.system);
-        }
-    }
-
     /// Runs the full program (Algorithm 1) to completion.
     ///
     /// # Errors
@@ -665,7 +555,7 @@ impl System {
     /// Returns [`CoreError::Stalled`] if the simulation deadlocks (a
     /// resource sized too small for the workload).
     pub fn run(&mut self) -> Result<SimReport, CoreError> {
-        let _run_scope = self.profiler.as_ref().map(|p| profile::scope(p, "run"));
+        let _run_scope = self.obs.scope("run");
         let layers: Vec<Rc<Layer>> = self.program.layers.iter().cloned().map(Rc::new).collect();
         // Free initial checkpoint under rollback recovery: the inputs are
         // still pristine in host memory at run start, so snapshotting
@@ -698,7 +588,7 @@ impl System {
                 Err(e) => return Err(e),
             }
         }
-        let _report_scope = self.profiler.as_ref().map(|p| profile::scope(p, "report"));
+        let _report_scope = self.obs.scope("report");
         Ok(self.report())
     }
 
@@ -750,8 +640,8 @@ impl System {
                 cycle,
             });
         }
-        self.phase_event(start, |p| p.begin("checkpoint"));
-        self.phase_event(self.cycle, |p| p.end("checkpoint"));
+        self.obs.phase_begin(start, "checkpoint");
+        self.obs.phase_end(self.cycle, "checkpoint");
     }
 
     /// Rolls the system back to the last checkpoint after a detected
@@ -831,43 +721,36 @@ impl System {
         // discards progress made after this point.
         let restart = ckpt.layer_index;
         ckpt.cycle = self.cycle;
-        let start = now;
-        self.phase_event(start, |p| p.begin("rollback"));
-        self.phase_event(self.cycle, |p| p.end("rollback"));
+        self.obs.phase_begin(now, "rollback");
+        self.obs.phase_end(self.cycle, "rollback");
         Some(restart)
     }
 
     fn run_layer(&mut self, layer: Rc<Layer>) -> Result<(), CoreError> {
         let phase_name = format!("layer:{}", layer.name);
-        let _layer_scope = self
-            .profiler
-            .as_ref()
-            .map(|p| profile::scope(p, &phase_name));
+        let _layer_scope = self.obs.scope(&phase_name);
         // CONFIG: set up modules and charge the weight broadcast.
-        let config_scope = self.profiler.as_ref().map(|p| profile::scope(p, "config"));
+        let config_scope = self.obs.scope("config");
         let config_start = self.cycle;
         let config_cost = self.configure_layer(&layer);
-        self.phase_event(config_start, |p| p.begin("config"));
+        self.obs.phase_begin(config_start, "config");
         self.cycle += config_cost;
         self.config_cycles += config_cost;
-        self.phase_event(self.cycle, |p| p.end("config"));
+        self.obs.phase_end(self.cycle, "config");
         drop(config_scope);
         self.board.iter_mut().for_each(|b| *b = None);
         let start = self.cycle;
-        self.phase_event(start, |p| p.begin(&phase_name));
+        self.obs.phase_begin(start, &phase_name);
         for (t, part) in self.partitions.clone().into_iter().enumerate() {
             self.tiles[t].gpe.start_layer(Rc::clone(&layer), part);
         }
         // Execute until the global barrier (everything idle).
-        let cycles_scope = self
-            .profiler
-            .as_ref()
-            .map(|p| profile::scope(p, profile::CYCLES_SCOPE));
+        let cycles_scope = self.obs.scope(CYCLES_SCOPE);
         let stall_window = self.cfg.stall_window;
         let mut last_progress_marker = self.progress_marker();
         let mut last_progress_cycle = self.cycle;
         while !self.all_idle() {
-            self.step_cycle(&layer)?;
+            self.step_cycle()?;
             // An exhausted NoC protection model (retransmit budget) is an
             // unrecoverable fault: stop cleanly with the failure detail
             // instead of spinning until the watchdog fires.
@@ -879,7 +762,7 @@ impl System {
                 return Err(CoreError::Fault {
                     cycle: self.cycle,
                     site: "noc".into(),
-                    msg: Self::with_flight_snapshot(&self.telemetry, fail.to_string()),
+                    msg: self.obs.with_flight_snapshot(fail.to_string()),
                 });
             }
             // Same for an exhausted DRAM re-read budget (only possible
@@ -896,7 +779,7 @@ impl System {
                     return Err(CoreError::Fault {
                         cycle: self.cycle,
                         site: format!("mem{mi}"),
-                        msg: Self::with_flight_snapshot(&self.telemetry, fail.to_string()),
+                        msg: self.obs.with_flight_snapshot(fail.to_string()),
                     });
                 }
             }
@@ -913,7 +796,7 @@ impl System {
                     );
                     return Err(CoreError::Stalled {
                         cycle: self.cycle,
-                        detail: Self::with_flight_snapshot(&self.telemetry, detail),
+                        detail: self.obs.with_flight_snapshot(detail),
                     });
                 }
                 last_progress_marker = marker;
@@ -921,25 +804,22 @@ impl System {
             }
             // Charge the fault-failure check + watchdog to the `faults`
             // hot phase and close this cycle's lap window.
-            if let Some(p) = &self.profiler {
-                let mut p = p.borrow_mut();
-                p.lap(HotPhase::Faults);
-                p.end_cycle();
-            }
+            self.obs.lap(HotPhase::Faults);
+            self.obs.end_cycle();
         }
         // Barrier: wake everything and charge the idle ticks the
         // sleeping windows owe, so per-module counters match a fully
         // polled run bit-for-bit.
         self.settle_sleepers();
         drop(cycles_scope);
-        self.phase_event(self.cycle, |p| p.end(&phase_name));
+        self.obs.phase_end(self.cycle, &phase_name);
         // Closing barrier cost.
-        let barrier_scope = self.profiler.as_ref().map(|p| profile::scope(p, "barrier"));
+        let barrier_scope = self.obs.scope("barrier");
         let barrier = 64 * self.divider;
-        self.phase_event(self.cycle, |p| p.begin("barrier"));
+        self.obs.phase_begin(self.cycle, "barrier");
         self.cycle += barrier;
         self.config_cycles += barrier;
-        self.phase_event(self.cycle, |p| p.end("barrier"));
+        self.obs.phase_end(self.cycle, "barrier");
         drop(barrier_scope);
         self.layer_timings.push(LayerTiming {
             name: layer.name.clone(),
@@ -951,39 +831,10 @@ impl System {
         // exactly (event-level telemetry only; reads counters the
         // modules maintain unconditionally, so the simulation itself is
         // untouched).
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|tele| tele.energy.is_some())
-        {
+        if self.obs.layer_energy().is_some() {
             let counts = self.class_counts_now();
-            if let Some(e) = self.telemetry.as_mut().and_then(|t| t.energy.as_mut()) {
-                let mut delta = [0u64; CostClass::COUNT];
-                for (d, (now, prev)) in delta.iter_mut().zip(counts.iter().zip(e.prev.iter())) {
-                    *d = now - prev;
-                }
-                e.layers.push(delta);
-                e.prev = counts;
-            }
-            // Cumulative-energy counter tracks: Perfetto renders these
-            // as step charts, one per cost class plus the total, so the
-            // energy timeline sits next to the stall/link tracks.
-            if let Some(tele) = &self.telemetry {
-                if let Some(track) = &tele.energy_track {
-                    let rates = self.energy_model.rates();
-                    tele.tracer.borrow_mut().set_now(self.cycle);
-                    let mut total_fj = 0u64;
-                    for &c in CostClass::ALL.iter() {
-                        let fj = rates.charge_fj(c, counts[c.index()]);
-                        total_fj = total_fj.saturating_add(fj);
-                        track.counter(
-                            &format!("energy.{}_pj", c.as_str()),
-                            (fj / FJ_PER_PJ) as f64,
-                        );
-                    }
-                    track.counter("energy.total_pj", (total_fj / FJ_PER_PJ) as f64);
-                }
-            }
+            let rates = self.energy_model.rates();
+            self.obs.record_layer_energy(self.cycle, counts, &rates);
         }
         Ok(())
     }
@@ -1142,27 +993,16 @@ impl System {
         }
     }
 
-    fn step_cycle(&mut self, _layer: &Layer) -> Result<(), CoreError> {
+    fn step_cycle(&mut self) -> Result<(), CoreError> {
         let c = self.cycle;
         let core_tick = c.is_multiple_of(self.divider);
         let core_now = c / self.divider;
 
-        // Host profiling: clone the handle so laps inside the tile loop
-        // don't fight the borrow checker. `None` (the default) keeps the
-        // whole mechanism to one branch per lap site.
-        let prof = self.profiler.clone();
-        if let Some(p) = &prof {
-            p.borrow_mut().begin_cycle();
-        }
-        if let Some(tele) = &self.telemetry {
-            tele.tracer.borrow_mut().set_now(c);
-        }
-        if self.telemetry.is_some() && c.is_multiple_of(SAMPLE_EVERY) {
+        self.obs.begin_cycle(c);
+        if c.is_multiple_of(SAMPLE_EVERY) && self.obs.level() >= TraceLevel::Event {
             self.sample_counters();
         }
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Sample);
-        }
+        self.obs.lap(HotPhase::Sample);
         let words_per_flit = self.words_per_flit();
 
         // --- Event wheel ---
@@ -1226,6 +1066,25 @@ impl System {
                 let Some(msg) = m.inbox.pop_front() else {
                     break;
                 };
+                // A corrupted address that survives to the controller
+                // (pass-through faults) would read or write outside the
+                // simulated DRAM: end the run as a fault at this node.
+                // (A data message passes here and is rejected below.)
+                let (addr, bytes) = match &msg {
+                    Message::MemRead { addr, bytes, .. } => (*addr, u64::from(*bytes)),
+                    Message::MemWrite { addr, data } => (*addr, 4 * data.len() as u64),
+                    Message::Data { .. } => (0, 0),
+                };
+                if !self.image.contains(addr, bytes) {
+                    return Err(CoreError::Fault {
+                        cycle: c,
+                        site: format!("mem{mi}"),
+                        msg: self.obs.with_flight_snapshot(format!(
+                            "{bytes}-byte access at {addr:#x} outside the {}-byte memory image",
+                            self.image.size_bytes()
+                        )),
+                    });
+                }
                 match msg {
                     Message::MemRead {
                         addr,
@@ -1247,7 +1106,7 @@ impl System {
                     }
                     Message::Data { .. } => {
                         return Err(Self::protocol_error(
-                            &self.telemetry,
+                            &self.obs,
                             c,
                             format!("mem{mi}"),
                             "data message delivered to a memory node".into(),
@@ -1261,9 +1120,6 @@ impl System {
                 let pkt = Packet::new(m.port, dst, bytes, msg);
                 if let Err(p) = self.net.try_inject(pkt) {
                     m.out.push_front((p.dst, p.payload));
-                    // Put back with original destination.
-                    let (dst, msg) = m.out.pop_front().expect("just pushed");
-                    m.out.push_front((dst, msg));
                 }
             }
             // Event wheel: a fully drained node sleeps until a delivery
@@ -1283,9 +1139,7 @@ impl System {
             }
         }
 
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Mem);
-        }
+        self.obs.lap(HotPhase::Mem);
 
         // --- Tiles ---
         for t in 0..self.tiles.len() {
@@ -1294,9 +1148,7 @@ impl System {
             }
             self.tile_ingest(t)?;
             self.tile_inject(t);
-            if let Some(p) = &prof {
-                p.borrow_mut().lap(HotPhase::TileComms);
-            }
+            self.obs.lap(HotPhase::TileComms);
             if core_tick {
                 self.tile_core_tick(t, core_now);
             }
@@ -1310,9 +1162,7 @@ impl System {
         }
 
         self.net.step();
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Noc);
-        }
+        self.obs.lap(HotPhase::Noc);
         self.cycle += 1;
         Ok(())
     }
@@ -1350,7 +1200,7 @@ impl System {
                 };
                 if let Err(msg) = outcome {
                     return Err(Self::protocol_error(
-                        &self.telemetry,
+                        &self.obs,
                         cycle,
                         format!("tile{t}.gpe"),
                         msg,
@@ -1392,7 +1242,7 @@ impl System {
                 };
                 if let Err(msg) = outcome {
                     return Err(Self::protocol_error(
-                        &self.telemetry,
+                        &self.obs,
                         cycle,
                         format!("tile{t}.agg"),
                         msg,
@@ -1428,7 +1278,7 @@ impl System {
                 };
                 if let Err(msg) = outcome {
                     return Err(Self::protocol_error(
-                        &self.telemetry,
+                        &self.obs,
                         cycle,
                         format!("tile{t}.dnq"),
                         msg,
@@ -1479,7 +1329,6 @@ impl System {
     }
 
     fn tile_core_tick(&mut self, t: usize, core_now: u64) {
-        let prof = self.profiler.clone();
         // Split borrows: GPE ctx needs agg+dnq of the same tile.
         let tile = &mut self.tiles[t];
         {
@@ -1495,9 +1344,7 @@ impl System {
             };
             tile.gpe.tick(&mut ctx);
         }
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Gpe);
-        }
+        self.obs.lap(HotPhase::Gpe);
         // AGG: results stage into the pending queue (bounded by the 2 kB
         // flit buffer inside the module).
         if tile.agg_pending.len() < 8 {
@@ -1507,18 +1354,14 @@ impl System {
                 }
             }
         }
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Agg);
-        }
+        self.obs.lap(HotPhase::Agg);
         // DNQ → DNA handoff (single dequeue interface, lazy switching).
         let accepting = tile.dna.can_accept();
         if let Some(entry) = tile.dnq.dequeue_for_dna(accepting) {
             tile.dna
                 .accept(entry.kernel, &entry.data, entry.dest, core_now);
         }
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Dnq);
-        }
+        self.obs.lap(HotPhase::Dnq);
         // DNA completion.
         if tile.dna_pending.len() < 8 {
             if let Some((dest, data)) = tile.dna.tick(core_now) {
@@ -1527,32 +1370,21 @@ impl System {
                 }
             }
         }
-        if let Some(p) = &prof {
-            p.borrow_mut().lap(HotPhase::Dna);
-        }
+        self.obs.lap(HotPhase::Dna);
     }
 
     /// Emits periodic counter samples (queue occupancies, in-flight
     /// flits, windowed per-router link utilisation) on the module tracks.
     fn sample_counters(&mut self) {
-        // Per-router link-utilisation counters (no-op unless router
-        // probes are attached at event level).
         self.net.sample_utilization(SAMPLE_EVERY);
-        let Some(tele) = &self.telemetry else { return };
-        for (t, probes) in tele.tiles.iter().enumerate() {
-            let tile = &self.tiles[t];
-            probes.dnq.counter("dnq_depth_q0", tile.dnq.len(0) as f64);
-            probes.dnq.counter("dnq_depth_q1", tile.dnq.len(1) as f64);
-            probes
-                .agg
-                .counter("agg_live_slots", tile.agg.live_slots() as f64);
+        for tile in &self.tiles {
+            tile.dnq.sample_counters();
+            tile.agg.sample_counters();
         }
-        for (i, p) in tele.mems.iter().enumerate() {
-            p.counter("queue_depth", self.mems[i].ctrl.queue_len() as f64);
+        for m in &self.mems {
+            m.ctrl.sample_counters();
         }
-        if let Some(p) = &tele.noc {
-            p.counter("inflight_flits", self.net.inflight_flits() as f64);
-        }
+        self.net.sample_inflight();
     }
 
     /// One-line description of what every module is doing (stall debug).
@@ -1884,7 +1716,7 @@ impl System {
     /// event-level telemetry is attached, so untraced harvests are
     /// unchanged.
     fn harvest_energy(&self, reg: &mut MetricsRegistry) {
-        let Some(energy) = self.telemetry.as_ref().and_then(|t| t.energy.as_ref()) else {
+        let Some(layers) = self.obs.layer_energy() else {
             return;
         };
         let rates = self.energy_model.rates();
@@ -1894,8 +1726,7 @@ impl System {
         // Per-layer partition of the same total (complete runs only:
         // every countable event lands inside some layer's execute
         // phase, so the layer deltas sum to the final class counts).
-        let layer_fj: Vec<u64> = energy
-            .layers
+        let layer_fj: Vec<u64> = layers
             .iter()
             .map(|delta| {
                 CostClass::ALL

@@ -2,7 +2,7 @@ use crate::MemImage;
 use gnna_faults::{
     ecc, EccDomain, FaultCounters, FaultPlan, FaultSite, SiteInjector, StuckLineModel,
 };
-use gnna_telemetry::{CostClass, ModuleProbe};
+use gnna_telemetry::{CostClass, Probe};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -318,9 +318,8 @@ pub struct MemoryController {
     /// Time (in fractional cycles) at which the DRAM becomes free.
     dram_free_at: f64,
     stats: MemStats,
-    /// Optional telemetry probe (`None` when tracing is disabled, so
-    /// instrumentation reduces to a never-taken branch).
-    probe: Option<ModuleProbe>,
+    /// Telemetry probe (detached unless tracing at event level).
+    probe: Probe,
     /// Optional fault injection + ECC model (`None` keeps the
     /// controller bit-identical to the fault-free model).
     fault: Option<MemFaultState>,
@@ -334,15 +333,20 @@ impl MemoryController {
             queue: VecDeque::new(),
             dram_free_at: 0.0,
             stats: MemStats::default(),
-            probe: None,
+            probe: Probe::default(),
             fault: None,
         }
     }
 
     /// Attaches a telemetry probe; the controller emits an instant event
     /// on every queue-full rejection.
-    pub fn attach_probe(&mut self, probe: ModuleProbe) {
-        self.probe = Some(probe);
+    pub fn attach_probe(&mut self, probe: Probe) {
+        self.probe = probe;
+    }
+
+    /// Emits the periodic `queue_depth` occupancy counter.
+    pub fn sample_counters(&self) {
+        self.probe.counter("queue_depth", self.queue.len() as f64);
     }
 
     /// Attaches seeded DRAM-fault injection with the SECDED protection
@@ -448,9 +452,7 @@ impl MemoryController {
     pub fn try_push(&mut self, request: MemRequest, now: u64) -> Result<(), MemRequest> {
         if self.queue.len() >= self.cfg.queue_depth {
             self.stats.rejected += 1;
-            if let Some(p) = &self.probe {
-                p.instant("mem_queue_reject");
-            }
+            self.probe.instant("mem_queue_reject");
             return Err(request);
         }
         let span = self.cfg.aligned_span(request.addr, request.bytes);
@@ -488,9 +490,7 @@ impl MemoryController {
                     } else {
                         PendingFault::Undetected { double }
                     });
-                    if let Some(p) = &self.probe {
-                        p.instant("mem_fault_inject");
-                    }
+                    self.probe.instant("mem_fault_inject");
                 }
             }
         }
@@ -541,9 +541,7 @@ impl MemoryController {
                 let front = self.queue.front_mut().expect("checked front");
                 front.ready_at = now + penalty;
                 front.fault = Some(PendingFault::Retrying(1));
-                if let Some(p) = &self.probe {
-                    p.instant("mem_fault_retry");
-                }
+                self.probe.instant("mem_fault_retry");
                 return None;
             }
         }
@@ -565,18 +563,14 @@ impl MemoryController {
                              address {front_addr:#x} on cycle {now}",
                             fs.retry_budget
                         ));
-                        if let Some(p) = &self.probe {
-                            p.instant("mem_fault_unrecoverable");
-                        }
+                        self.probe.instant("mem_fault_unrecoverable");
                     } else {
                         fs.counters.retry_cycles += fs.retry_penalty_cycles;
                         let penalty = fs.retry_penalty_cycles;
                         let front = self.queue.front_mut().expect("checked front");
                         front.ready_at = now + penalty;
                         front.fault = Some(PendingFault::Retrying(attempts + 1));
-                        if let Some(p) = &self.probe {
-                            p.instant("mem_fault_retry");
-                        }
+                        self.probe.instant("mem_fault_retry");
                     }
                     return None;
                 }
@@ -615,9 +609,7 @@ impl MemoryController {
                             }
                         }
                         fs.counters.corrected += 1;
-                        if let Some(p) = &self.probe {
-                            p.instant("mem_fault_corrected");
-                        }
+                        self.probe.instant("mem_fault_corrected");
                     }
                     Some(PendingFault::Retrying(_)) => {
                         let fs = self
@@ -625,9 +617,7 @@ impl MemoryController {
                             .as_mut()
                             .expect("queued fault implies attached fault state");
                         fs.counters.retried += 1;
-                        if let Some(p) = &self.probe {
-                            p.instant("mem_fault_retried");
-                        }
+                        self.probe.instant("mem_fault_retried");
                     }
                     Some(PendingFault::Undetected { double }) => {
                         // The upset landed outside the configured ECC
@@ -649,9 +639,7 @@ impl MemoryController {
                             }
                         }
                         fs.counters.sdc += 1;
-                        if let Some(p) = &self.probe {
-                            p.instant("mem_fault_sdc");
-                        }
+                        self.probe.instant("mem_fault_sdc");
                     }
                     Some(PendingFault::DoubleBit) => {
                         // Pass-through: the double-bit error escapes
@@ -671,9 +659,7 @@ impl MemoryController {
                             *w ^= (1 << a) | (1 << b);
                         }
                         fs.counters.sdc += 1;
-                        if let Some(p) = &self.probe {
-                            p.instant("mem_fault_sdc");
-                        }
+                        self.probe.instant("mem_fault_sdc");
                     }
                     None => {}
                 }
@@ -696,16 +682,12 @@ impl MemoryController {
                             if fs.passthrough || !fs.protects((base_word + i as u64) * 4) {
                                 *w = line.apply(*w);
                                 fs.counters.sdc += 1;
-                                if let Some(p) = &self.probe {
-                                    p.instant("mem_fault_sdc");
-                                }
+                                self.probe.instant("mem_fault_sdc");
                             } else {
                                 // A stuck line is a single-bit error on
                                 // this word; SECDED corrects it inline.
                                 fs.counters.corrected += 1;
-                                if let Some(p) = &self.probe {
-                                    p.instant("mem_fault_corrected");
-                                }
+                                self.probe.instant("mem_fault_corrected");
                             }
                         }
                     }

@@ -42,6 +42,15 @@ impl MemImage {
         self.words.len() as u64 * 4
     }
 
+    /// Whether a `bytes`-long access at `addr` is word-aligned and lies
+    /// inside the image (the accessors panic otherwise).
+    pub fn contains(&self, addr: u64, bytes: u64) -> bool {
+        addr.is_multiple_of(4)
+            && addr
+                .checked_add(bytes)
+                .is_some_and(|end| end <= self.size_bytes())
+    }
+
     /// Allocates `words` 32-bit words, 64 B-aligned, zero-initialised;
     /// returns the byte address.
     pub fn alloc(&mut self, words: usize) -> u64 {

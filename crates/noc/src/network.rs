@@ -2,8 +2,9 @@ use crate::arena::{BufFlit, FlitRef, LinkFlit, PacketSlab};
 use crate::router::{opposite, xy_route, EAST, LOCAL_BASE, NORTH, SOUTH, WEST};
 use crate::{Address, Flit, NetworkStats, NocConfig, Packet, PacketKind};
 use gnna_faults::{crc, CrcDomain, DeadLink, FaultCounters, FaultPlan, FaultSite, SiteInjector};
-use gnna_telemetry::{HistogramSummary, MetricsRegistry, ModuleProbe};
+use gnna_telemetry::{HistogramSummary, MetricsRegistry, Probe, SharedTracer};
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Short names for the four mesh directions, indexed by port constant.
@@ -21,10 +22,9 @@ const NO_OWNER: u8 = u8::MAX;
 #[derive(Debug)]
 struct NocTelemetry {
     /// Mesh-level probe: injection stalls and hop-by-hop instants.
-    probe: ModuleProbe,
-    /// Optional per-router probes for link-utilisation counter tracks
-    /// (empty below `event` level).
-    router_probes: Vec<ModuleProbe>,
+    probe: Probe,
+    /// Per-router probes for the link-utilisation counter tracks.
+    router_probes: Vec<Probe>,
     /// Cumulative busy cycles per `[router][port]` (all ports, including
     /// local ejection ports).
     link_busy: Vec<Vec<u64>>,
@@ -41,28 +41,6 @@ struct NocTelemetry {
     latency: HistogramSummary,
     /// Per-packet link-hop counts.
     hop_hist: HistogramSummary,
-}
-
-impl NocTelemetry {
-    fn new(probe: ModuleProbe, ports_per_router: &[usize], coords: &[(usize, usize)]) -> Self {
-        let link_busy: Vec<Vec<u64>> = ports_per_router.iter().map(|&n| vec![0; n]).collect();
-        let hop_names = coords
-            .iter()
-            .map(|&(x, y)| {
-                [NORTH, EAST, SOUTH, WEST].map(|d| format!("hop ({x},{y})->{}", DIR_NAMES[d]))
-            })
-            .collect();
-        NocTelemetry {
-            probe,
-            router_probes: Vec::new(),
-            link_busy_prev: link_busy.clone(),
-            link_busy,
-            hop_names,
-            hops: HashMap::new(),
-            latency: HistogramSummary::default(),
-            hop_hist: HistogramSummary::default(),
-        }
-    }
 }
 
 /// Seeded link-fault injection plus the CRC-checked retransmit
@@ -581,50 +559,47 @@ impl<T> Network<T> {
         }
     }
 
-    /// Attaches a telemetry probe. The network then emits an instant event
-    /// on every rejected injection (staging slot busy — injection-side
-    /// backpressure) and a `hop (x,y)->D` instant for every head-flit link
-    /// traversal, and accumulates per-link busy cycles plus end-to-end
-    /// packet latency / hop-count histograms.
-    pub fn attach_probe(&mut self, probe: ModuleProbe) {
-        let ports: Vec<usize> = (0..self.num_routers()).map(|r| self.num_ports(r)).collect();
-        let coords: Vec<(usize, usize)> = (0..self.num_routers())
-            .map(|r| (self.coord_x[r] as usize, self.coord_y[r] as usize))
+    /// Attaches telemetry: registers a `noc`/`mesh` track and one
+    /// `noc`/`router (x,y)` track per router (row-major) on `tracer`. The
+    /// network then emits an instant event on every rejected injection
+    /// (staging slot busy — injection-side backpressure) and a
+    /// `hop (x,y)->D` instant for every head-flit link traversal, samples
+    /// per-router link utilisation via [`Network::sample_utilization`],
+    /// and accumulates per-link busy cycles plus end-to-end packet
+    /// latency / hop-count histograms.
+    pub fn attach_probes(&mut self, tracer: &SharedTracer) {
+        let probe = |thread: &str| Probe::new(Rc::clone(tracer), "noc", thread);
+        let link_busy: Vec<Vec<u64>> = (0..self.num_routers())
+            .map(|r| vec![0; self.num_ports(r)])
             .collect();
-        self.telemetry = Some(NocTelemetry::new(probe, &ports, &coords));
-    }
-
-    /// Attaches one probe per router (row-major order, `y * width + x`) for
-    /// per-router link-utilisation counter tracks, sampled via
-    /// [`Network::sample_utilization`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Network::attach_probe`] has not been called first or if
-    /// the probe count does not match the router count.
-    pub fn attach_router_probes(&mut self, probes: Vec<ModuleProbe>) {
-        let n = self.num_routers();
-        let tele = self
-            .telemetry
-            .as_mut()
-            .expect("attach_probe must be called before attach_router_probes");
-        assert_eq!(probes.len(), n, "one probe per router required");
-        tele.router_probes = probes;
-    }
-
-    /// Whether deep telemetry is attached.
-    pub fn has_probe(&self) -> bool {
-        self.telemetry.is_some()
+        let coords = self.coord_x.iter().zip(&self.coord_y);
+        self.telemetry = Some(NocTelemetry {
+            probe: probe("mesh"),
+            router_probes: coords
+                .clone()
+                .map(|(x, y)| probe(&format!("router ({x},{y})")))
+                .collect(),
+            link_busy_prev: link_busy.clone(),
+            link_busy,
+            hop_names: coords
+                .map(|(x, y)| {
+                    [NORTH, EAST, SOUTH, WEST].map(|d| format!("hop ({x},{y})->{}", DIR_NAMES[d]))
+                })
+                .collect(),
+            hops: HashMap::new(),
+            latency: HistogramSummary::default(),
+            hop_hist: HistogramSummary::default(),
+        });
     }
 
     /// Emits one windowed link-utilisation counter per mesh direction on
     /// every router probe: the fraction of the last `window` cycles each
-    /// outgoing link spent busy. No-op when router probes are not attached.
+    /// outgoing link spent busy. No-op when telemetry is not attached.
     pub fn sample_utilization(&mut self, window: u64) {
         let Some(tele) = self.telemetry.as_mut() else {
             return;
         };
-        if tele.router_probes.is_empty() || window == 0 {
+        if window == 0 {
             return;
         }
         for (r, probe) in tele.router_probes.iter().enumerate() {
@@ -641,6 +616,15 @@ impl<T> Network<T> {
                     delta as f64 / window as f64,
                 );
             }
+        }
+    }
+
+    /// Emits the `inflight_flits` counter on the mesh track. No-op when
+    /// telemetry is not attached.
+    pub fn sample_inflight(&self) {
+        if let Some(tele) = &self.telemetry {
+            tele.probe
+                .counter("inflight_flits", self.inflight_flits as f64);
         }
     }
 
@@ -715,11 +699,6 @@ impl<T> Network<T> {
             }
         }
         out
-    }
-
-    /// Flits currently inside the fabric or waiting at ejection buffers.
-    pub fn inflight_flits(&self) -> u64 {
-        self.inflight_flits
     }
 
     /// Invokes `f` once per node (row-major index `y * width + x`) whose
@@ -1441,11 +1420,7 @@ mod tests {
         use gnna_telemetry::{shared, Metric, TraceLevel, Tracer};
         let mut n = net(3, 3);
         let tracer = shared(Tracer::new(TraceLevel::Event));
-        n.attach_probe(ModuleProbe::new(tracer.clone(), "noc", "mesh"));
-        let probes = (0..9)
-            .map(|i| ModuleProbe::new(tracer.clone(), "noc", &format!("router {}", i)))
-            .collect();
-        n.attach_router_probes(probes);
+        n.attach_probes(&tracer);
 
         let src = Address::new(0, 0, 0);
         let dst = Address::new(2, 2, 1);
@@ -1497,7 +1472,7 @@ mod tests {
         use gnna_telemetry::{shared, TraceLevel, Tracer};
         let mut n = net(3, 3);
         let tracer = shared(Tracer::new(TraceLevel::Event));
-        n.attach_probe(ModuleProbe::new(tracer, "noc", "mesh"));
+        n.attach_probes(&tracer);
         for i in 0..24u32 {
             let src = Address::new((i % 3) as usize, (i as usize / 3) % 3, 0);
             let dst = Address::new(((i + 2) % 3) as usize, ((i + 1) % 3) as usize, 1);
@@ -1694,7 +1669,7 @@ mod tests {
         let plan = FaultPlan::new(21).with_noc_rate(0.3);
         let mut n = net(3, 3);
         let tracer = shared(Tracer::new(TraceLevel::Event));
-        n.attach_probe(ModuleProbe::new(tracer, "noc", "mesh"));
+        n.attach_probes(&tracer);
         n.attach_faults(NocFaultState::from_plan(&plan, 0)).unwrap();
         inject_grid(&mut n, 24);
         let _ = drain_log(&mut n, 3, 3, 3000);
@@ -1748,7 +1723,7 @@ mod tests {
         use gnna_telemetry::{shared, TraceLevel, Tracer};
         let mut traced = net(3, 3);
         let tracer = shared(Tracer::new(TraceLevel::Event));
-        traced.attach_probe(ModuleProbe::new(tracer.clone(), "noc", "mesh"));
+        traced.attach_probes(&tracer);
         traced
             .attach_faults(NocFaultState::from_plan(&plan, 0))
             .unwrap();

@@ -21,6 +21,9 @@
 //!   cycle-loop laps measuring where *wall-clock* time goes, exported as
 //!   a collapsed-stack file (flamegraph input) and `host.profile.*`
 //!   metrics.
+//! - [`observer`] — the one [`Observer`](observer::Observer) handle a
+//!   running simulation reports to, fanning out to the tracer and the
+//!   host profiler.
 //! - [`json`] — the std-only JSON writer/parser backing both, exposed so
 //!   tests can reconcile emitted files against simulator counters.
 //!
@@ -29,18 +32,23 @@
 //!
 //! ## Zero cost when disabled
 //!
-//! Modules hold an `Option<ModuleProbe>`. When tracing is off the option is
-//! `None` and instrumentation reduces to a never-taken branch; the
-//! cycle-identity golden test in `gnna-core` asserts `total_cycles` is
-//! bit-identical with tracing off vs. on.
+//! Detached is a value, not an `Option` at every call site. Each module
+//! holds a [`Probe`] and the simulator holds an [`Observer`]; their
+//! `Default` is detached, and their event methods are `#[inline]`
+//! no-ops behind one branch when nothing is attached. Probes are
+//! attached only at [`TraceLevel::Event`], the profiler only on request.
+//! The cycle-identity golden test in `gnna-core` asserts `total_cycles`
+//! is bit-identical with tracing off vs. on.
 
 pub mod energy;
 pub mod json;
 pub mod metrics;
+pub mod observer;
 pub mod profile;
 pub mod trace;
 
 pub use energy::{apportion_pj, CostClass, EnergyLedger, EnergyRates};
 pub use metrics::{HistogramSummary, Metric, MetricsRegistry};
+pub use observer::Observer;
 pub use profile::{scope, shared_profiler, HostProfiler, HotPhase, PhaseTimer, SharedProfiler};
-pub use trace::{shared, ModuleProbe, SharedTracer, TraceLevel, Tracer, TrackId};
+pub use trace::{shared, Probe, SharedTracer, TraceLevel, Tracer, TrackId};

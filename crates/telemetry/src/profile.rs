@@ -30,9 +30,10 @@
 //! pipeline.
 //!
 //! Like the rest of the crate this is std-only and **zero-cost when
-//! detached**: the simulator holds an `Option<SharedProfiler>` that
-//! stays `None` unless explicitly attached, so the disabled path is a
-//! never-taken branch and the simulation is bit-identical.
+//! detached**: the simulator reaches the profiler through its
+//! [`Observer`](crate::observer::Observer), whose laps and scopes are a
+//! never-taken branch until a profiler is attached, and the simulation
+//! is bit-identical either way.
 
 use crate::metrics::MetricsRegistry;
 use std::cell::RefCell;

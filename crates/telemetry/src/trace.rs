@@ -383,50 +383,60 @@ pub fn shared(tracer: Tracer) -> SharedTracer {
     Rc::new(RefCell::new(tracer))
 }
 
-/// A module's handle onto one tracer track.
+/// A module's handle onto one tracer track, or detached.
 ///
-/// Modules store an `Option<ModuleProbe>`; `None` (the default when telemetry
-/// is off or below the needed level) short-circuits instrumentation to a
-/// single branch on an option that is never populated — no tracer, no
-/// allocation, no clock reads.
-#[derive(Clone)]
-pub struct ModuleProbe {
-    tracer: SharedTracer,
-    track: TrackId,
-}
+/// `Probe::default()` is detached: every event method is `#[inline]` and
+/// reduces to one branch on a handle that is never populated — no
+/// tracer, no allocation, no clock reads. Modules hold a `Probe`
+/// unconditionally and call it as if tracing were always on.
+#[derive(Clone, Default)]
+pub struct Probe(Option<(SharedTracer, TrackId)>);
 
-impl std::fmt::Debug for ModuleProbe {
+impl std::fmt::Debug for Probe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModuleProbe")
-            .field("track", &self.track)
+        f.debug_tuple("Probe")
+            .field(&self.0.as_ref().map(|(_, track)| track))
             .finish()
     }
 }
 
-impl ModuleProbe {
+impl Probe {
+    /// Registers a `process`/`thread` track on `tracer` and returns a
+    /// probe writing to it.
     pub fn new(tracer: SharedTracer, process: &str, thread: &str) -> Self {
         let track = tracer.borrow_mut().register_track(process, thread);
-        ModuleProbe { tracer, track }
+        Probe(Some((tracer, track)))
     }
 
+    #[inline]
+    fn emit(&self, f: impl FnOnce(&mut Tracer, TrackId)) {
+        if let Some((tracer, track)) = &self.0 {
+            f(&mut tracer.borrow_mut(), *track);
+        }
+    }
+
+    /// Opens a duration slice on the probe's track.
+    #[inline]
     pub fn begin(&self, name: &str) {
-        let mut t = self.tracer.borrow_mut();
-        t.begin(self.track, name);
+        self.emit(|t, track| t.begin(track, name));
     }
 
+    /// Closes the innermost slice opened with the same name.
+    #[inline]
     pub fn end(&self, name: &str) {
-        let mut t = self.tracer.borrow_mut();
-        t.end(self.track, name);
+        self.emit(|t, track| t.end(track, name));
     }
 
+    /// Records a point-in-time event.
+    #[inline]
     pub fn instant(&self, name: &str) {
-        let mut t = self.tracer.borrow_mut();
-        t.instant(self.track, name);
+        self.emit(|t, track| t.instant(track, name));
     }
 
+    /// Records a sampled counter value.
+    #[inline]
     pub fn counter(&self, name: &str, value: f64) {
-        let mut t = self.tracer.borrow_mut();
-        t.counter(self.track, name, value);
+        self.emit(|t, track| t.counter(track, name, value));
     }
 }
 
@@ -510,11 +520,12 @@ mod tests {
     #[test]
     fn probe_shares_tracer() {
         let shared = shared(Tracer::new(TraceLevel::Event));
-        let a = ModuleProbe::new(shared.clone(), "tile (0,0)", "GPE");
-        let b = ModuleProbe::new(shared.clone(), "tile (0,0)", "DNA");
+        let a = Probe::new(shared.clone(), "tile (0,0)", "GPE");
+        let b = Probe::new(shared.clone(), "tile (0,0)", "DNA");
         shared.borrow_mut().set_now(7);
         a.instant("x");
         b.counter("depth", 2.0);
+        Probe::default().instant("detached");
         assert_eq!(shared.borrow().event_count(), 2);
         assert_eq!(shared.borrow().track_count(), 2);
     }
